@@ -20,7 +20,8 @@
 #include <cstdlib>
 #include <limits>
 
-#include "common/parallel.h"
+#include "bench_args.h"
+#include "common/task_pool.h"
 #include "compiler/dsl.h"
 #include "compiler/lowering.h"
 #include "fhe/params.h"
@@ -56,9 +57,10 @@ compileMs(const fhe::CkksContext &ctx, const compiler::Program &prog,
 int
 main(int argc, char **argv)
 {
-    const std::size_t streams =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
-    const int reps = argc > 2 ? std::atoi(argv[2]) : 3;
+    const auto args = bench::parseCounts(
+        argc, argv, "[streams] [reps]", {"streams", "reps"}, {4, 3});
+    const auto streams = static_cast<std::size_t>(args[0]);
+    const int reps = static_cast<int>(args[1]);
 
     // Mid-size context: big enough that lowering dominates, small
     // enough for a CI smoke run.
@@ -93,7 +95,8 @@ main(int argc, char **argv)
                 "\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
                 "\"speedup\":%.3f}\n",
                 streams, prog.ops().size(), 2 * streams, streams,
-                defaultWorkers(), reps, serial_ms, parallel_ms,
+                TaskPool::global().parallelism(), reps, serial_ms,
+                parallel_ms,
                 serial_ms / parallel_ms);
     return 0;
 }

@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/random.h"
+#include "common/task_pool.h"
 #include "exec/backend.h"
 #include "fhe/evaluator.h"
 #include "workloads/benchmarks.h"
@@ -68,7 +68,11 @@ measure(compiler::ProgramRuntime &runtime,
 int
 main(int argc, char **argv)
 {
-    const int base_reps = argc > 1 ? std::atoi(argv[1]) : 4;
+    const int base_reps = static_cast<int>(
+        bench::parseCounts(argc, argv, "[reps]", {"reps"}, {4})[0]);
+    // The pooled run uses (and reports) the pool that really runs
+    // it: CINNAMON_WORKERS may size it below the core count.
+    const std::size_t pool = TaskPool::global().parallelism();
     std::printf("[\n");
     bool first = true;
     for (std::size_t logn : {12u, 13u, 14u, 15u}) {
@@ -101,7 +105,7 @@ main(int argc, char **argv)
                 logn >= 14 ? (base_reps + 1) / 2 : base_reps;
             const auto serial = measure(runtime, compiled, 1, reps);
             const auto pooled =
-                measure(runtime, compiled, defaultWorkers(), reps);
+                measure(runtime, compiled, pool, reps);
             if (serial.digest != pooled.digest) {
                 std::fprintf(stderr,
                              "FATAL: serial/parallel digest mismatch "
@@ -124,7 +128,7 @@ main(int argc, char **argv)
                 first ? "" : ",\n", n, chips, serial.limb_ops,
                 serial.wall_ms,
                 serial.limb_ops / (serial.wall_ms / 1e3),
-                pooled.wall_ms, defaultWorkers(), speedup,
+                pooled.wall_ms, pool, speedup,
                 static_cast<unsigned long long>(serial.digest));
             first = false;
             std::fflush(stdout);

@@ -18,8 +18,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.h"
 #include "bench_util.h"
 #include "sim/simulator.h"
 #include "workloads/oblivious_join.h"
@@ -29,8 +29,9 @@ using namespace cinnamon;
 int
 main(int argc, char **argv)
 {
-    const std::size_t chips =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
+    const auto args =
+        bench::parseCounts(argc, argv, "[chips]", {"chips"}, {4});
+    const auto chips = static_cast<std::size_t>(args[0]);
 
     auto ctx = bench::makePaperContext();
     const auto shape = workloads::ObliviousJoinShape::paper();

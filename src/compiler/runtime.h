@@ -26,6 +26,7 @@
 #include "fhe/encoder.h"
 #include "fhe/keys.h"
 #include "isa/emulator.h"
+#include "isa/key_cache.h"
 
 namespace cinnamon::compiler {
 
@@ -62,6 +63,15 @@ class ProgramRuntime
     }
 
     /**
+     * Fetch evaluation keys from (and offer fresh ones to) a tier's
+     * `cache` instead of a cache this runtime owns. The cache must be
+     * built on the same CkksContext and keyed consistently: every
+     * master seed it sees stands for one secret key (the first draw of
+     * KeyGenerator(seed)). Call before the first run().
+     */
+    void setKeyCache(isa::KeyCache *cache) { keys_ = cache; }
+
+    /**
      * Bind an encrypted input by name. Rebinding (any name) marks the
      * pre-loaded chip memories stale, so the next run() re-stores
      * every Load address.
@@ -87,11 +97,25 @@ class ProgramRuntime
     {
         copy_keys_ = std::move(copies);
         ++bindings_version_;
+        keys_program_ = nullptr;
     }
 
     /** Bind a plaintext slot vector by name (encoded on demand). */
     void bindPlain(const std::string &name,
                    std::vector<fhe::Cplx> values);
+
+    /**
+     * Make every evaluation key `program` loads resident: each
+     * distinct (master seed, key identity) is looked up in the key
+     * cache with the shape the program reads (its leading digits and
+     * loaded primes), and every miss is generated in one parallel
+     * loop on the shared TaskPool. Keys are independent of the order
+     * they are generated in, so the result is bit-identical at any
+     * worker count. run() calls this itself unless it was called for
+     * the same program since the last run(); calling it first only
+     * separates key time from execution time.
+     */
+    void prepareKeys(const CompiledProgram &program);
 
     /**
      * Execute a compiled program on the ISA emulator.
@@ -125,6 +149,9 @@ class ProgramRuntime
     }
 
   private:
+    /** Chips per batch copy (all chips when single-tenant). */
+    std::size_t chipsPerCopy(std::size_t chips) const;
+
     /**
      * Produce the limb a descriptor names, as a view into runtime-
      * owned storage (inputs / plaintext cache / key cache), valid for
@@ -133,10 +160,6 @@ class ProgramRuntime
     isa::LimbRef materialize(const DataDescriptor &desc,
                              std::size_t copy);
 
-    /** Fetch or create the evaluation key a descriptor names. */
-    const fhe::EvalKey &evalKeyFor(const DataDescriptor &desc,
-                                   std::size_t copy);
-
     const fhe::CkksContext *ctx_;
     const fhe::Encoder *encoder_;
     fhe::KeyGenerator *keygen_;
@@ -144,7 +167,21 @@ class ProgramRuntime
 
     std::map<std::string, fhe::Ciphertext> inputs_;
     std::map<std::string, std::vector<fhe::Cplx>> plains_;
-    std::map<std::string, fhe::EvalKey> key_cache_;
+    /**
+     * Key source: a tier's cache, or own_keys_ (built on first use,
+     * admits every key and never evicts, so repeated runs reuse them).
+     */
+    isa::KeyCache *keys_ = nullptr;
+    std::unique_ptr<isa::KeyCache> own_keys_;
+    /**
+     * The keys prepareKeys() resolved for the next run() of
+     * keys_program_, per (batch copy, descriptor); the shared pointers
+     * keep them alive even if the cache evicts. run() consumes them.
+     */
+    std::map<std::pair<std::size_t, const DataDescriptor *>,
+             std::shared_ptr<const fhe::EvalKey>>
+        key_of_;
+    const void *keys_program_ = nullptr;
     std::vector<CopyKeys> copy_keys_; ///< empty = single tenant
     std::map<std::string, rns::RnsPoly> plain_cache_;
     /**

@@ -1,7 +1,9 @@
 #include "exec/backend.h"
 
+#include <chrono>
 #include <memory>
 
+#include "common/metrics.h"
 #include "common/random.h"
 
 namespace cinnamon::exec {
@@ -91,39 +93,51 @@ EmulateBackend::executeSeeded(const fhe::CkksContext &ctx,
                               const compiler::CompiledProgram &program,
                               uint64_t seed, std::size_t workers,
                               const faults::FaultDecision *fault,
-                              isa::EmulatorCache *cache)
+                              isa::EmulatorCache *emulators,
+                              isa::KeyCache *keys,
+                              const PhaseSpans *spans)
 {
-    // All randomness is derived from the request seed, so the output
-    // digest is a pure function of (seed, program, parameters) —
-    // never of worker count or scheduling order.
-    fhe::KeyGenerator keygen(ctx, seed);
-    auto sk = keygen.secretKey();
-    fhe::Evaluator eval(ctx);
-    Rng data_rng(seed ^ 0x9e3779b97f4a7c15ull);
-
-    compiler::ProgramRuntime runtime(ctx, encoder, keygen, sk);
-    if (cache != nullptr)
-        runtime.setEmulatorCache(cache);
-    for (const compiler::CtOp &op : source.ops()) {
-        if (op.kind != compiler::CtOpKind::Input)
-            continue;
-        std::vector<fhe::Cplx> values(ctx.slots());
-        for (auto &v : values)
-            v = fhe::Cplx(data_rng.uniformReal(-1.0, 1.0), 0.0);
-        auto plain = encoder.encode(values, op.level);
-        auto ct = eval.encrypt(plain, ctx.params().scale, sk, data_rng);
-        runtime.bindInput(op.name, ct);
-    }
-
-    if (fault != nullptr && fault->chip_fails)
-        runtime.armFault(fault->chip_offset, fault->at_fraction);
-    EmulateBackend backend(runtime, workers);
-    auto report = backend.execute(program);
+    auto reports =
+        executeSeededBatch(ctx, encoder, source, program, {seed},
+                           workers, fault, 0, emulators, keys, spans);
     if (fault != nullptr && fault->transient)
         throw faults::TransientFaultError(
             "injected transient execution fault");
-    return report;
+    return std::move(reports[0]);
 }
+
+namespace {
+
+/** Times one execution phase into exec.<metric>_ms and a span. */
+class Phase
+{
+  public:
+    Phase(const PhaseSpans *spans, const char *name, const char *metric)
+        : span_(spans != nullptr ? spans->trace : nullptr, name, "exec",
+                spans != nullptr ? spans->pid : 0,
+                spans != nullptr ? spans->tid : 0),
+          metric_(metric), start_(std::chrono::steady_clock::now())
+    {
+        if (spans != nullptr)
+            for (const auto &[key, value] : spans->args)
+                span_.arg(key, value);
+    }
+
+    ~Phase()
+    {
+        MetricsRegistry::global().histogram(metric_).observe(
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start_)
+                .count());
+    }
+
+  private:
+    ScopedSpan span_;
+    const char *metric_;
+    std::chrono::steady_clock::time_point start_;
+};
+
+} // namespace
 
 std::vector<ExecutionReport>
 EmulateBackend::executeSeededBatch(
@@ -132,7 +146,8 @@ EmulateBackend::executeSeededBatch(
     const compiler::CompiledProgram &program,
     const std::vector<uint64_t> &seeds, std::size_t workers,
     const faults::FaultDecision *fault, std::size_t fault_member,
-    isa::EmulatorCache *cache)
+    isa::EmulatorCache *emulators, isa::KeyCache *keys,
+    const PhaseSpans *spans)
 {
     const std::size_t members = seeds.size();
     CINN_FATAL_UNLESS(members >= 1, "batch needs at least one member");
@@ -142,45 +157,66 @@ EmulateBackend::executeSeededBatch(
     const std::size_t chips_per_member = chips / members;
 
     // One generator/key per member: every member's randomness is its
-    // own request's, exactly as executeSeeded would derive it.
+    // own request's, exactly as an unbatched run would derive it. The
+    // secret key is the generator's first draw, so a cached one is
+    // the same key.
     std::vector<std::unique_ptr<fhe::KeyGenerator>> keygens;
-    std::vector<std::unique_ptr<fhe::SecretKey>> sks;
+    std::vector<std::shared_ptr<const fhe::SecretKey>> sks;
     keygens.reserve(members);
     sks.reserve(members);
-    for (const uint64_t seed : seeds) {
-        keygens.push_back(
-            std::make_unique<fhe::KeyGenerator>(ctx, seed));
-        sks.push_back(std::make_unique<fhe::SecretKey>(
-            keygens.back()->secretKey()));
+    std::vector<compiler::ProgramRuntime::CopyKeys> copies(members);
+    std::unique_ptr<compiler::ProgramRuntime> runtime;
+    {
+        Phase phase(spans, "keys", "exec.keys_ms");
+        for (const uint64_t seed : seeds) {
+            keygens.push_back(
+                std::make_unique<fhe::KeyGenerator>(ctx, seed));
+            std::shared_ptr<const fhe::SecretKey> sk;
+            if (keys != nullptr) {
+                keys->sight(seed);
+                sk = keys->findSecret(seed);
+            }
+            if (sk == nullptr) {
+                sk = std::make_shared<const fhe::SecretKey>(
+                    keygens.back()->secretKey());
+                if (keys != nullptr)
+                    keys->insertSecret(seed, sk);
+            }
+            sks.push_back(std::move(sk));
+        }
+        runtime = std::make_unique<compiler::ProgramRuntime>(
+            ctx, encoder, *keygens[0], *sks[0]);
+        if (emulators != nullptr)
+            runtime->setEmulatorCache(emulators);
+        if (keys != nullptr)
+            runtime->setKeyCache(keys);
+        for (std::size_t k = 0; k < members; ++k)
+            copies[k] = {keygens[k].get(), sks[k].get()};
+        runtime->setCopyKeys(std::move(copies));
+        runtime->prepareKeys(program);
     }
 
-    fhe::Evaluator eval(ctx);
-    compiler::ProgramRuntime runtime(ctx, encoder, *keygens[0],
-                                     *sks[0]);
-    if (cache != nullptr)
-        runtime.setEmulatorCache(cache);
-    std::vector<compiler::ProgramRuntime::CopyKeys> copies(members);
-    for (std::size_t k = 0; k < members; ++k)
-        copies[k] = {keygens[k].get(), sks[k].get()};
-    runtime.setCopyKeys(std::move(copies));
-
-    for (std::size_t k = 0; k < members; ++k) {
-        const std::string suffix =
-            k == 0 ? std::string() : "@" + std::to_string(k);
-        Rng data_rng(seeds[k] ^ 0x9e3779b97f4a7c15ull);
-        // Inputs are drawn in the *source* program's input order from
-        // the member's own rng — the same draws, encodes, and
-        // encryption randomness an unbatched run would make.
-        for (const compiler::CtOp &op : source.ops()) {
-            if (op.kind != compiler::CtOpKind::Input)
-                continue;
-            std::vector<fhe::Cplx> values(ctx.slots());
-            for (auto &v : values)
-                v = fhe::Cplx(data_rng.uniformReal(-1.0, 1.0), 0.0);
-            auto plain = encoder.encode(values, op.level);
-            auto ct = eval.encrypt(plain, ctx.params().scale,
-                                   *sks[k], data_rng);
-            runtime.bindInput(op.name + suffix, ct);
+    {
+        Phase phase(spans, "encrypt", "exec.encrypt_ms");
+        fhe::Evaluator eval(ctx);
+        for (std::size_t k = 0; k < members; ++k) {
+            const std::string suffix =
+                k == 0 ? std::string() : "@" + std::to_string(k);
+            Rng data_rng(seeds[k] ^ 0x9e3779b97f4a7c15ull);
+            // Inputs are drawn in the *source* program's input order
+            // from the member's own rng — the same draws, encodes,
+            // and encryption randomness an unbatched run would make.
+            for (const compiler::CtOp &op : source.ops()) {
+                if (op.kind != compiler::CtOpKind::Input)
+                    continue;
+                std::vector<fhe::Cplx> values(ctx.slots());
+                for (auto &v : values)
+                    v = fhe::Cplx(data_rng.uniformReal(-1.0, 1.0), 0.0);
+                auto plain = encoder.encode(values, op.level);
+                auto ct = eval.encrypt(plain, ctx.params().scale,
+                                       *sks[k], data_rng);
+                runtime->bindInput(op.name + suffix, ct);
+            }
         }
     }
 
@@ -190,27 +226,34 @@ EmulateBackend::executeSeededBatch(
         const std::size_t victim =
             fault_member * chips_per_member +
             fault->chip_offset % chips_per_member;
-        runtime.armFault(victim, fault->at_fraction);
+        runtime->armFault(victim, fault->at_fraction);
     }
 
-    EmulateBackend backend(runtime, workers);
-    auto batched = backend.execute(program);
+    std::map<std::string, fhe::Ciphertext> outputs;
+    isa::EmulatorStats stats;
+    {
+        Phase phase(spans, "execute", "exec.emulate_ms");
+        runtime->setEmulatorWorkers(workers);
+        outputs = runtime->run(program);
+        stats = runtime->lastStats();
+    }
 
     // Fan the shared output map back out per member, stripping the
     // replica suffix so each member's names — and therefore its
     // digest — match an unbatched run exactly.
+    Phase phase(spans, "digest", "exec.digest_ms");
     std::vector<ExecutionReport> reports(members);
     for (std::size_t k = 0; k < members; ++k) {
         const std::string suffix =
             k == 0 ? std::string() : "@" + std::to_string(k);
         ExecutionReport &r = reports[k];
         r.has_outputs = true;
-        r.emu_stats = batched.emu_stats;
+        r.emu_stats = stats;
         for (const compiler::CtOp &op : source.ops()) {
             if (op.kind != compiler::CtOpKind::Output)
                 continue;
-            auto it = batched.outputs.find(op.name + suffix);
-            CINN_ASSERT(it != batched.outputs.end(),
+            auto it = outputs.find(op.name + suffix);
+            CINN_ASSERT(it != outputs.end(),
                         "batched output '" << op.name << suffix
                                            << "' missing");
             r.outputs.emplace(op.name, std::move(it->second));

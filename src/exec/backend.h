@@ -20,10 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "compiler/dsl.h"
 #include "compiler/runtime.h"
 #include "faults/fault_plan.h"
 #include "fhe/evaluator.h"
+#include "isa/key_cache.h"
 #include "sim/simulator.h"
 
 namespace cinnamon::exec {
@@ -49,6 +51,21 @@ struct ExecutionReport
     isa::EmulatorStats emu_stats;
     /** hashOutputs(outputs) when has_outputs. */
     uint64_t digest = 0;
+};
+
+/**
+ * Where a seeded execution records its phase spans: `keys` (secret
+ * and evaluation keys), `encrypt` (inputs), `execute` (chip memory
+ * stores and emulation) and `digest`, each tagged with `args` (e.g.
+ * the request id), on the caller's track. A null recorder records
+ * nothing.
+ */
+struct PhaseSpans
+{
+    TraceRecorder *trace = nullptr;
+    uint32_t pid = 0;
+    uint32_t tid = 0;
+    std::vector<std::pair<std::string, double>> args;
 };
 
 /** A way to execute a compiled program. */
@@ -112,7 +129,7 @@ class EmulateBackend final : public ExecutionBackend
      * the seed; inputs drawn real-only from Rng(seed ^ golden-ratio)
      * in the source program's input order), runs, and digests. The
      * report's digest is a pure function of (seed, program,
-     * parameters) — never of worker count or scheduling.
+     * parameters) — never of worker count, scheduling or cache state.
      *
      * When `fault` is non-null its layers are injected into this one
      * attempt: a chip failure arms the runtime so the victim chip
@@ -123,10 +140,12 @@ class EmulateBackend final : public ExecutionBackend
      * so a retried attempt reproduces the unfaulted digest bit for
      * bit.
      *
-     * When `cache` is non-null the per-request runtime borrows its
-     * emulator from it (and returns it on exit), so back-to-back
-     * requests reuse warm arenas instead of growing fresh ones. The
-     * cache never affects results — only allocation traffic.
+     * `emulators` (may be null) lends warm emulator arenas; `keys`
+     * (may be null) is the tier's key cache: the request is sighted
+     * by its doorkeeper, and the tenant's secret and evaluation keys
+     * come from it when resident. Neither affects results. Each phase
+     * is timed into the exec.{keys,encrypt,emulate,digest}_ms
+     * histograms and, with `spans`, traced.
      */
     static ExecutionReport
     executeSeeded(const fhe::CkksContext &ctx,
@@ -135,7 +154,9 @@ class EmulateBackend final : public ExecutionBackend
                   const compiler::CompiledProgram &program, uint64_t seed,
                   std::size_t workers = 1,
                   const faults::FaultDecision *fault = nullptr,
-                  isa::EmulatorCache *cache = nullptr);
+                  isa::EmulatorCache *emulators = nullptr,
+                  isa::KeyCache *keys = nullptr,
+                  const PhaseSpans *spans = nullptr);
 
     /**
      * Batched request-seeded emulation: `program` is the compilation
@@ -145,7 +166,7 @@ class EmulateBackend final : public ExecutionBackend
      * k's outputs (names stripped of the "@k" replica suffix) hash to
      * the same digest an unbatched run of `source` under seeds[k]
      * would produce, bit for bit. Returns one report per member, in
-     * seed order.
+     * seed order. executeSeeded is the batch of one.
      *
      * When `fault` carries a chip failure it is mapped into member
      * `fault_member`'s chip span; the victim chip then throws
@@ -163,7 +184,9 @@ class EmulateBackend final : public ExecutionBackend
                        std::size_t workers = 1,
                        const faults::FaultDecision *fault = nullptr,
                        std::size_t fault_member = 0,
-                       isa::EmulatorCache *cache = nullptr);
+                       isa::EmulatorCache *emulators = nullptr,
+                       isa::KeyCache *keys = nullptr,
+                       const PhaseSpans *spans = nullptr);
 
   private:
     compiler::ProgramRuntime *runtime_;

@@ -144,6 +144,12 @@ ServeStats::report() const
         line("plan cache: %zu hits / %zu lookups (%.1f%% hit rate)",
              plan_cache.hits, plan_cache.lookups(),
              100.0 * plan_cache.hitRate());
+    if (key_cache.lookups() > 0)
+        line("key cache: %zu hits / %zu lookups (%.1f%% hit rate), "
+             "%.1f MB resident",
+             key_cache.hits, key_cache.lookups(),
+             100.0 * key_cache.hitRate(),
+             static_cast<double>(key_cache_bytes) / (1 << 20));
     if (tuner_cache.lookups() > 0)
         line("plan tuner: %zu decisions memoized, %zu hits / "
              "%zu lookups (%.1f%% hit rate)",
@@ -177,6 +183,7 @@ ServeStats::report() const
     std::string metrics =
         MetricsRegistry::global().textSnapshot("serve.");
     metrics += MetricsRegistry::global().textSnapshot("faults.");
+    metrics += MetricsRegistry::global().textSnapshot("exec.");
     metrics += MetricsRegistry::global().textSnapshot("emulator.");
     metrics += MetricsRegistry::global().textSnapshot("pool.");
     if (!metrics.empty()) {

@@ -81,6 +81,13 @@ struct ServeStats
      * owner.
      */
     CacheStats tuner_cache;
+    /**
+     * Tenant key cache (secret + evaluation keys per seed). Repeat
+     * tenants hit from their third request; unique seeds never do.
+     * Assigned by the owner of the KeyCache.
+     */
+    CacheStats key_cache;
+    std::size_t key_cache_bytes = 0; ///< resident at report time
 
     // Continuous batching (fromResponses derives these from the
     // per-response batch_streams field).

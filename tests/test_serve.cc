@@ -397,9 +397,10 @@ TEST(Server, BertWorkloadServesDeterministically)
 
 TEST(Server, TraceSpansSumToRequestTotal)
 {
-    // The per-request spans (queue → acquire → simulate → probe →
-    // dwell) are leaves: per request they must tile the measured
-    // total_ms to within a millisecond.
+    // The per-request serving spans (queue → acquire → simulate →
+    // probe → dwell) must tile the measured total_ms to within a
+    // millisecond; the probe's own phases (keys → encrypt → execute →
+    // digest, category "exec") must nest inside its probe span.
     ServeOptions opt = smallOptions();
     opt.workers = 1; // serial: no scheduling noise between spans
     opt.trace = true;
@@ -410,11 +411,22 @@ TEST(Server, TraceSpansSumToRequestTotal)
     server.drainAndStop();
 
     std::map<uint64_t, double> span_ms;
-    for (const auto &e : server.trace().events()) {
-        for (const auto &[key, value] : e.num_args)
-            if (key == "rid")
-                span_ms[static_cast<uint64_t>(value)] +=
-                    e.dur_us / 1e3;
+    std::map<uint64_t, const TraceEvent *> probe;
+    std::map<uint64_t, std::vector<const TraceEvent *>> phases;
+    const auto events = server.trace().events();
+    for (const auto &e : events) {
+        for (const auto &[key, value] : e.num_args) {
+            if (key != "rid")
+                continue;
+            const auto rid = static_cast<uint64_t>(value);
+            if (e.category == "exec") {
+                phases[rid].push_back(&e);
+                continue;
+            }
+            span_ms[rid] += e.dur_us / 1e3;
+            if (e.name == "probe")
+                probe[rid] = &e;
+        }
     }
     std::size_t checked = 0;
     for (const auto &r : server.responses()) {
@@ -424,6 +436,22 @@ TEST(Server, TraceSpansSumToRequestTotal)
         ASSERT_NE(it, span_ms.end()) << "request " << r.id;
         EXPECT_NEAR(it->second, r.total_ms, 1.0)
             << "request " << r.id;
+
+        ASSERT_NE(probe.count(r.id), 0u) << "request " << r.id;
+        const TraceEvent &p = *probe[r.id];
+        std::set<std::string> names;
+        double inside_us = 0.0;
+        for (const TraceEvent *e : phases[r.id]) {
+            names.insert(e->name);
+            inside_us += e->dur_us;
+            EXPECT_GE(e->ts_us, p.ts_us) << e->name;
+            EXPECT_LE(e->ts_us + e->dur_us, p.ts_us + p.dur_us)
+                << e->name;
+        }
+        EXPECT_EQ(names, (std::set<std::string>{"keys", "encrypt",
+                                                "execute", "digest"}))
+            << "request " << r.id;
+        EXPECT_LE(inside_us, p.dur_us) << "request " << r.id;
         ++checked;
     }
     EXPECT_EQ(checked, 3u);
