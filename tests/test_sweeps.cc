@@ -7,6 +7,8 @@
  *  - keyswitch pass invariants over batch sizes.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "compiler/lowering.h"
@@ -111,9 +113,11 @@ INSTANTIATE_TEST_SUITE_P(Machines, ChipsSweep,
 
 // ---- compiled rotation sweep ---------------------------------------
 
+// gtest names a parameter without a printer by its bytes, padding
+// included; two 8-byte fields leave no padding, so the names are stable.
 struct RotCase
 {
-    int steps;
+    std::int64_t steps;
     std::size_t chips;
 };
 
@@ -123,7 +127,8 @@ class CompiledRotationSweep
 TEST_P(CompiledRotationSweep, MatchesPlainRotation)
 {
     auto &h = harness();
-    const auto [steps, chips] = GetParam();
+    const int steps = static_cast<int>(GetParam().steps);
+    const std::size_t chips = GetParam().chips;
     compiler::Program p("rot", *h.ctx);
     auto x = p.input("x", 3);
     p.output("o", p.rotate(x, steps));
