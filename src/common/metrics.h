@@ -49,11 +49,24 @@ class Counter
     std::atomic<double> value_{0.0};
 };
 
-/** Last-write-wins value (a utilization, a queue depth). */
+/**
+ * Current value (a utilization, a queue depth): set() is last write
+ * wins; add() moves it atomically, for a level several owners share.
+ */
 class Gauge
 {
   public:
     void set(double v) { value_.store(v, std::memory_order_relaxed); }
+
+    void
+    add(double delta)
+    {
+        double cur = value_.load(std::memory_order_relaxed);
+        while (!value_.compare_exchange_weak(
+            cur, cur + delta, std::memory_order_relaxed)) {
+        }
+    }
+
     double value() const { return value_.load(std::memory_order_relaxed); }
 
   private:
